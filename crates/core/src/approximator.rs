@@ -7,8 +7,8 @@
 //! dominated by the largest unit.
 
 use asdex_nn::{
-    mse_output_grad, Activation, Adam, GradGuard, GuardOutcome, Mlp, Normalizer, Optimizer,
-    TrainHealth, UpdateClass,
+    mse, mse_output_grad_into, Activation, Adam, GradGuard, GuardOutcome, Mlp, Normalizer,
+    Optimizer, TrainHealth, UpdateClass, Workspace,
 };
 use asdex_rng::Rng;
 
@@ -88,6 +88,19 @@ pub struct SpiceApproximator {
     guard: GradGuard,
     sentinel: TrainHealth,
     last_fit: FitReport,
+    scratch: FitScratch,
+}
+
+/// Buffers one [`SpiceApproximator::fit`] reuses across its steps and
+/// across calls: the standardized window and one step's gradients.
+/// Scratch only — no state the model's behaviour depends on.
+#[derive(Debug, Clone, Default)]
+struct FitScratch {
+    ws: Workspace,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    grad: Vec<f64>,
+    out_grad: Vec<f64>,
 }
 
 impl SpiceApproximator {
@@ -111,6 +124,7 @@ impl SpiceApproximator {
             // discontinuously re-scaling the output normalizer).
             sentinel: TrainHealth::default().with_thresholds(8.0, 0.05),
             last_fit: FitReport::healthy_empty(),
+            scratch: FitScratch::default(),
         }
     }
 
@@ -168,23 +182,35 @@ impl SpiceApproximator {
         let mut nonfinite = 0;
         let start = self.trajectory.len().saturating_sub(self.window);
         let count = self.trajectory.len() - start;
+        let (n_in, n_out) = (self.n_in, self.n_out);
+        let FitScratch { ws, xs, ys, grad, out_grad } = &mut self.scratch;
+        if epochs > 0 {
+            // The normalizers do not move during a fit: standardize the
+            // window once, not once per epoch.
+            xs.resize(count * n_in, 0.0);
+            ys.resize(count * n_out, 0.0);
+            let rows = xs.chunks_exact_mut(n_in).zip(ys.chunks_exact_mut(n_out));
+            for (s, (x, y)) in self.trajectory[start..].iter().zip(rows) {
+                self.in_norm.normalize_into(&s.x, x);
+                self.out_norm.normalize_into(&s.y, y);
+            }
+            grad.resize(self.net.param_count(), 0.0);
+            out_grad.resize(n_out, 0.0);
+        }
         for _ in 0..epochs {
             last = 0.0;
-            for k in start..self.trajectory.len() {
-                let (x, y) = {
-                    let s = &self.trajectory[k];
-                    (self.in_norm.normalize(&s.x), self.out_norm.normalize(&s.y))
-                };
-                let trace = self.net.forward_trace(&x);
-                last += asdex_nn::mse(trace.output(), &y);
-                let mut g = self.net.backward(&trace, &mse_output_grad(trace.output(), &y));
-                match self.guard.apply(g.flat_mut()) {
+            for (x, y) in xs.chunks_exact(n_in).zip(ys.chunks_exact(n_out)) {
+                let out = self.net.forward_in(x, ws);
+                last += mse(out, y);
+                mse_output_grad_into(out, y, out_grad);
+                self.net.backward_in(x, ws, out_grad, grad);
+                match self.guard.apply(grad) {
                     GuardOutcome::NonFinite => nonfinite += 1,
                     GuardOutcome::Clipped => {
                         clipped += 1;
-                        self.adam.step(&mut self.net, g.flat());
+                        self.adam.step(&mut self.net, grad);
                     }
-                    GuardOutcome::Ok => self.adam.step(&mut self.net, g.flat()),
+                    GuardOutcome::Ok => self.adam.step(&mut self.net, grad),
                 }
             }
             last /= count as f64;
@@ -232,7 +258,30 @@ impl SpiceApproximator {
 
     /// Predicts raw measurements at a normalized point.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.out_norm.denormalize(&self.net.forward(&self.in_norm.normalize(x)))
+        assert_eq!(x.len(), self.n_in, "parameter dimension mismatch");
+        self.predict_rows(x)
+    }
+
+    /// Predicts raw measurements for a block of normalized points laid
+    /// out row-major (`n_in` per row), returned row-major (`n_out` per
+    /// row). Each row is bit for bit [`SpiceApproximator::predict`] of
+    /// that point; the block shares one set of buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is not a whole number of rows.
+    pub fn predict_rows(&self, xs: &[f64]) -> Vec<f64> {
+        assert_eq!(xs.len() % self.n_in, 0, "parameter dimension mismatch");
+        let mut zs = vec![0.0; xs.len()];
+        for (x, z) in xs.chunks_exact(self.n_in).zip(zs.chunks_exact_mut(self.n_in)) {
+            self.in_norm.normalize_into(x, z);
+        }
+        let mut ys = vec![0.0; xs.len() / self.n_in * self.n_out];
+        self.net.forward_rows(&zs, &mut ys, &mut Workspace::default());
+        for y in ys.chunks_exact_mut(self.n_out) {
+            self.out_norm.denormalize_in_place(y);
+        }
+        ys
     }
 
     /// Clears the trajectory and optimizer state but keeps the network

@@ -48,23 +48,23 @@ impl McPlanner {
         specs: &SpecSet,
         rng: &mut R,
     ) -> Option<Proposal> {
-        let mut best: Option<Proposal> = None;
-        for _ in 0..self.samples {
-            let x = space.sample_within(rng, center, radius);
-            if x == center {
-                continue;
-            }
-            let predicted = model.predict(&x);
-            let predicted_value = value_fn.value(&predicted, specs);
-            let better = match &best {
-                Some(b) => predicted_value > b.predicted_value,
-                None => true,
-            };
-            if better {
-                best = Some(Proposal { x, predicted, predicted_value });
+        let (xs, rows) = self.draw(space, center, radius, rng);
+        if rows == 0 {
+            return None;
+        }
+        let preds = model.predict_rows(&xs);
+        let mut best: Option<(usize, f64)> = None;
+        for (r, predicted) in preds.chunks_exact(preds.len() / rows).enumerate() {
+            let v = value_fn.value(predicted, specs);
+            if best.is_none_or(|(_, b)| v > b) {
+                best = Some((r, v));
             }
         }
-        best
+        best.map(|(r, predicted_value)| Proposal {
+            x: row(&xs, r, rows),
+            predicted: row(&preds, r, rows),
+            predicted_value,
+        })
     }
 
     /// Multi-corner variant: scores a candidate by the **minimum**
@@ -82,32 +82,70 @@ impl McPlanner {
         specs: &SpecSet,
         rng: &mut R,
     ) -> Option<Proposal> {
-        let mut best: Option<Proposal> = None;
-        for _ in 0..self.samples {
-            let x = space.sample_within(rng, center, radius);
-            if x == center {
-                continue;
-            }
+        let (xs, rows) = self.draw(space, center, radius, rng);
+        if rows == 0 {
+            return None;
+        }
+        // Per model: the block's predictions and their values.
+        let scored: Vec<(Vec<f64>, Vec<f64>)> = models
+            .iter()
+            .map(|m| {
+                let preds = m.predict_rows(&xs);
+                let values = preds
+                    .chunks_exact(preds.len() / rows)
+                    .map(|p| value_fn.value(p, specs))
+                    .collect();
+                (preds, values)
+            })
+            .collect();
+        let mut best: Option<(usize, Option<usize>, f64)> = None;
+        for r in 0..rows {
+            // The worst corner; `None` when no model scores below +inf.
             let mut worst_value = f64::INFINITY;
-            let mut worst_pred = Vec::new();
-            for m in models {
-                let predicted = m.predict(&x);
-                let v = value_fn.value(&predicted, specs);
-                if v < worst_value {
-                    worst_value = v;
-                    worst_pred = predicted;
+            let mut worst = None;
+            for (k, (_, values)) in scored.iter().enumerate() {
+                if values[r] < worst_value {
+                    worst_value = values[r];
+                    worst = Some(k);
                 }
             }
-            let better = match &best {
-                Some(b) => worst_value > b.predicted_value,
-                None => true,
-            };
-            if better {
-                best = Some(Proposal { x, predicted: worst_pred, predicted_value: worst_value });
+            if best.is_none_or(|(_, _, b)| worst_value > b) {
+                best = Some((r, worst, worst_value));
             }
         }
-        best
+        best.map(|(r, worst, predicted_value)| Proposal {
+            x: row(&xs, r, rows),
+            predicted: worst.map_or_else(Vec::new, |k| row(&scored[k].0, r, rows)),
+            predicted_value,
+        })
     }
+
+    /// Draws the step's `samples` candidates, in order, dropping those
+    /// equal to the center. Returns them row-major with their count.
+    fn draw<R: Rng + ?Sized>(
+        &self,
+        space: &DesignSpace,
+        center: &[f64],
+        radius: f64,
+        rng: &mut R,
+    ) -> (Vec<f64>, usize) {
+        let mut xs = Vec::with_capacity(self.samples * center.len());
+        let mut rows = 0;
+        for _ in 0..self.samples {
+            let x = space.sample_within(rng, center, radius);
+            if x != center {
+                xs.extend_from_slice(&x);
+                rows += 1;
+            }
+        }
+        (xs, rows)
+    }
+}
+
+/// Row `r` of a row-major block of `rows` equal rows.
+fn row(block: &[f64], r: usize, rows: usize) -> Vec<f64> {
+    let width = block.len() / rows;
+    block[r * width..(r + 1) * width].to_vec()
 }
 
 #[cfg(test)]
@@ -171,6 +209,45 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let p = McPlanner::new(50).propose(&space, &[0.0], 0.05, &model, &ValueFn::default(), &specs, &mut rng);
         assert!(p.is_none());
+    }
+
+    /// A model trained to predict the constant `level` everywhere.
+    fn constant_model(level: f64, seed: u64) -> SpiceApproximator {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = SpiceApproximator::new(2, 1, 8, 0.003, &mut rng);
+        for i in 0..10 {
+            m.push(vec![0.1 * i as f64, 0.5], vec![level + 1e-3 * i as f64]);
+        }
+        m.fit(50);
+        m
+    }
+
+    #[test]
+    fn tied_corner_values_report_the_first_models_prediction() {
+        // Both models predict far above the spec, so every candidate
+        // scores exactly 0.0 on both: the worst-corner tie goes to the
+        // first model in the list, as the candidate-by-candidate fold did.
+        let space = space();
+        let (a, b) = (constant_model(100.0, 3), constant_model(200.0, 4));
+        let specs = SpecSet::new(vec![Spec::at_least(0, "score", 10.0)]);
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let mut rng = StdRng::seed_from_u64(6);
+            let p = McPlanner::new(50)
+                .propose_multi(&space, &[0.5, 0.5], 0.2, &[first, second], &ValueFn::default(), &specs, &mut rng)
+                .expect("candidate");
+            assert_eq!(p.predicted_value, 0.0);
+            assert_eq!(p.predicted, first.predict(&p.x), "tie goes to the first model");
+            // Across candidates the first of equal values wins too: the
+            // first drawn candidate that is not the center.
+            let mut rng = StdRng::seed_from_u64(6);
+            let first_drawn = loop {
+                let x = space.sample_within(&mut rng, &[0.5, 0.5], 0.2);
+                if x != [0.5, 0.5] {
+                    break x;
+                }
+            };
+            assert_eq!(p.x, first_drawn);
+        }
     }
 
     #[test]

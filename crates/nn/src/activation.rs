@@ -1,6 +1,5 @@
 //! Activation functions.
 
-
 /// Element-wise activation applied after a dense layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
@@ -42,6 +41,26 @@ impl Activation {
             Activation::Identity => 1.0,
         }
     }
+
+    /// The same derivative expressed through the activation's **output**
+    /// `y = apply(x)`, which the backward pass has already stored. It is
+    /// bit for bit `derivative(x)`: tanh′ is `1 − t·t` with the very
+    /// `t = tanh(x)` that `derivative` recomputes, and `max(x, 0) > 0`
+    /// exactly when `x > 0`.
+    #[inline]
+    pub fn derivative_at_output(self, y: f64) -> f64 {
+        match self {
+            Activation::Relu => {
+                if y > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::Tanh => 1.0 - y * y,
+            Activation::Identity => 1.0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -63,6 +82,20 @@ mod tests {
             let h = 1e-6;
             let fd = (Activation::Tanh.apply(x + h) - Activation::Tanh.apply(x - h)) / (2.0 * h);
             assert!((d - fd).abs() < 1e-8, "x={x}");
+        }
+    }
+
+    #[test]
+    fn derivative_at_output_is_derivative_bitwise() {
+        let xs = [-40.0, -3.0, -0.7, -1e-300, -0.0, 0.0, 1e-300, 0.3, 2.5, 40.0, f64::NAN];
+        for act in [Activation::Relu, Activation::Tanh, Activation::Identity] {
+            for &x in &xs {
+                assert_eq!(
+                    act.derivative_at_output(act.apply(x)).to_bits(),
+                    act.derivative(x).to_bits(),
+                    "{act:?} at {x}"
+                );
+            }
         }
     }
 

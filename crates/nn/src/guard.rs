@@ -47,14 +47,41 @@ impl GradGuard {
     /// Checks `grad` and clips it in place when its global norm exceeds
     /// the ceiling. Returns what happened; on [`GuardOutcome::NonFinite`]
     /// the gradient is left untouched and must be discarded by the caller.
+    ///
+    /// The norm is overflow-safe: the largest magnitude `max_abs` is
+    /// factored out, `norm = max_abs · √Σ (g/max_abs)²`. One pass finds
+    /// non-finite components and `max_abs` together (in independent
+    /// lanes; a maximum does not depend on order). The sum pass is then
+    /// skipped when `fl(max_abs · fl(√n)) ≤ max_norm`: every scaled
+    /// square is at most 1, rounding is monotone, so the computed sum is
+    /// at most `n`, its root at most `fl(√n)`, and the computed norm at
+    /// most that product — the full computation would also return
+    /// [`GuardOutcome::Ok`].
     pub fn apply(&self, grad: &mut [f64]) -> GuardOutcome {
-        if grad.iter().any(|g| !g.is_finite()) {
+        // Per lane: the largest magnitude so far and whether every
+        // magnitude was finite (`a <= MAX` is false for NaN and ±Inf).
+        let mut lanes = [0.0f64; 4];
+        let mut finite = [true; 4];
+        let mut scan = |k: usize, g: f64| {
+            let a = g.abs();
+            finite[k] &= a <= f64::MAX;
+            lanes[k] = if a > lanes[k] { a } else { lanes[k] };
+        };
+        let chunks = grad.chunks_exact(4);
+        let tail = chunks.remainder();
+        for c in chunks {
+            for (k, &g) in c.iter().enumerate() {
+                scan(k, g);
+            }
+        }
+        for (k, &g) in tail.iter().enumerate() {
+            scan(k, g);
+        }
+        if finite.contains(&false) {
             return GuardOutcome::NonFinite;
         }
-        // Overflow-safe global norm: factor out the largest magnitude so
-        // squaring cannot hit +Inf even for components near f64::MAX.
-        let max_abs = grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
-        if max_abs == 0.0 {
+        let max_abs = lanes.iter().fold(0.0f64, |m, &l| m.max(l));
+        if max_abs == 0.0 || max_abs * (grad.len() as f64).sqrt() <= self.max_norm {
             return GuardOutcome::Ok;
         }
         let norm = max_abs

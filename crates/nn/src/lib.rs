@@ -4,7 +4,7 @@
 //!
 //! * [`Mlp`] — dense feed-forward networks with explicit backprop, the
 //!   paper's 3-layer SPICE approximator (eq. 3) and the baselines' policy
-//!   and value heads,
+//!   and value heads, with allocation-free passes over a [`Workspace`],
 //! * [`Sgd`] / [`Adam`] — first-order optimizers over flattened
 //!   parameters,
 //! * [`Normalizer`] — running standardization of inputs/targets,
@@ -15,7 +15,8 @@
 //!   loss-explosion sentinels for the self-healing learning loop.
 //!
 //! Everything is deterministic given a seeded RNG, which the experiment
-//! harnesses rely on.
+//! harnesses rely on, and the kernels are bit for bit the straightforward
+//! per-sample arithmetic (see the `mlp` module's determinism contract).
 //!
 //! # Example
 //!
@@ -43,6 +44,8 @@ mod guard;
 mod mlp;
 mod normalizer;
 mod optimizer;
+#[cfg(test)]
+mod reference;
 
 pub use activation::Activation;
 pub use categorical::{
@@ -50,6 +53,6 @@ pub use categorical::{
     sample_categorical, softmax,
 };
 pub use guard::{GradGuard, GuardOutcome, TrainHealth, UpdateClass};
-pub use mlp::{mse, mse_output_grad, Gradients, Mlp, Trace};
+pub use mlp::{mse, mse_output_grad, mse_output_grad_into, Gradients, Mlp, Trace, Workspace};
 pub use normalizer::Normalizer;
 pub use optimizer::{Adam, Optimizer, Sgd};

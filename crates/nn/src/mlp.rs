@@ -7,41 +7,105 @@
 //! * [`Mlp::forward`] — plain inference,
 //! * [`Mlp::forward_trace`] + [`Mlp::backward`] — gradients w.r.t. an
 //!   arbitrary output gradient (so callers implement any loss),
+//! * [`Mlp::forward_in`] / [`Mlp::backward_in`] / [`Mlp::forward_rows`] —
+//!   the same passes over a caller-owned [`Workspace`], allocating
+//!   nothing (the surrogate's training and planning loops),
 //! * [`Mlp::flat_params`] / [`Mlp::set_flat_params`] — the flattened
 //!   parameter view TRPO's line search needs.
+//!
+//! # Determinism contract
+//!
+//! There is one set of kernels; the allocating methods are thin wrappers
+//! over them. Each dot product accumulates from `-0.0` (where
+//! `Iterator::sum::<f64>` starts) in ascending input order, so every
+//! output is bit for bit the straightforward per-sample sum; up to eight
+//! outputs run interleaved only to overlap their independent add chains. The
+//! activation derivative is taken from the stored activation (tanh′ =
+//! `1 − t·t` with the same `t = tanh(z)`), which is the value a
+//! recomputation from the pre-activation gives.
 
 use crate::activation::Activation;
 use asdex_rng::Rng;
 
-/// One dense layer: `y = act(W x + b)`.
-#[derive(Debug, Clone, PartialEq)]
-struct Dense {
-    /// Row-major `out × in` weights.
-    w: Vec<f64>,
-    b: Vec<f64>,
-    n_in: usize,
-    n_out: usize,
-    act: Activation,
+/// Shape of one dense layer `y = act(W x + b)`; its parameters live in
+/// the network's flat vector at `off` (row-major `n_out × n_in` weights)
+/// and `off + n_in · n_out` (biases).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Layer {
+    pub(crate) n_in: usize,
+    pub(crate) n_out: usize,
+    pub(crate) act: Activation,
+    pub(crate) off: usize,
 }
 
-impl Dense {
-    fn new<R: Rng + ?Sized>(n_in: usize, n_out: usize, act: Activation, rng: &mut R) -> Self {
-        // Xavier/Glorot uniform init.
-        let limit = (6.0 / (n_in + n_out) as f64).sqrt();
-        let w = (0..n_in * n_out).map(|_| rng.gen_range(-limit..limit)).collect();
-        Dense { w, b: vec![0.0; n_out], n_in, n_out, act }
+impl Layer {
+    pub(crate) fn weights<'p>(&self, params: &'p [f64]) -> &'p [f64] {
+        &params[self.off..self.off + self.n_in * self.n_out]
     }
 
-    fn forward(&self, x: &[f64], pre: &mut Vec<f64>, out: &mut Vec<f64>) {
-        pre.clear();
-        out.clear();
-        for o in 0..self.n_out {
-            let row = &self.w[o * self.n_in..(o + 1) * self.n_in];
-            let z: f64 = row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>() + self.b[o];
-            pre.push(z);
-            out.push(self.act.apply(z));
+    pub(crate) fn biases<'p>(&self, params: &'p [f64]) -> &'p [f64] {
+        let b = self.off + self.n_in * self.n_out;
+        &params[b..b + self.n_out]
+    }
+}
+
+/// `K` dot products `Σ_i rows[k][i]·x[i]` at once. Each accumulator
+/// starts at `-0.0` and adds in ascending `i`, exactly as
+/// `Iterator::sum::<f64>` does; the `K` chains are independent, so
+/// running them side by side changes no bit.
+#[inline(always)]
+fn dots<const K: usize>(rows: [&[f64]; K], x: &[f64]) -> [f64; K] {
+    let n = x.len();
+    let rows = rows.map(|r| &r[..n]);
+    let mut acc = [-0.0f64; K];
+    for i in 0..n {
+        let xi = x[i];
+        for k in 0..K {
+            acc[k] += rows[k][i] * xi;
         }
     }
+    acc
+}
+
+/// Outputs `o..o + K` of one layer over one input row.
+#[inline(always)]
+fn outputs<const K: usize>(w: &[f64], b: &[f64], act: Activation, x: &[f64], y: &mut [f64], o: usize) {
+    let n_in = x.len();
+    let z: [f64; K] = dots(std::array::from_fn(|k| &w[(o + k) * n_in..(o + k + 1) * n_in]), x);
+    for k in 0..K {
+        y[o + k] = act.apply(z[k] + b[o + k]);
+    }
+}
+
+/// One layer over one input row: `y[o] = act(Σ_i W[o][i]·x[i] + b[o])`,
+/// eight outputs at a time, then four, two and one for the rest.
+fn dense_forward(w: &[f64], b: &[f64], act: Activation, x: &[f64], y: &mut [f64]) {
+    let n_out = y.len();
+    let mut o = 0;
+    while o + 8 <= n_out {
+        outputs::<8>(w, b, act, x, y, o);
+        o += 8;
+    }
+    if o + 4 <= n_out {
+        outputs::<4>(w, b, act, x, y, o);
+        o += 4;
+    }
+    if o + 2 <= n_out {
+        outputs::<2>(w, b, act, x, y, o);
+        o += 2;
+    }
+    if o < n_out {
+        outputs::<1>(w, b, act, x, y, o);
+    }
+}
+
+/// Reusable buffers for the allocation-free passes: one row's
+/// activations (every layer, concatenated) and the backward pass's
+/// deltas. Sized on first use; any network can use any workspace.
+#[derive(Debug, Clone, Default)]
+pub struct Workspace {
+    acts: Vec<f64>,
+    back: Vec<f64>,
 }
 
 /// Gradients of an [`Mlp`] with the same shape as its parameters.
@@ -91,16 +155,15 @@ impl Gradients {
 #[derive(Debug, Clone)]
 pub struct Trace {
     input: Vec<f64>,
-    /// Pre-activations per layer.
-    pres: Vec<Vec<f64>>,
-    /// Post-activations per layer.
-    outs: Vec<Vec<f64>>,
+    /// Post-activations of every layer, concatenated.
+    acts: Vec<f64>,
+    n_out: usize,
 }
 
 impl Trace {
     /// The network output this trace recorded.
     pub fn output(&self) -> &[f64] {
-        self.outs.last().expect("at least one layer")
+        &self.acts[self.acts.len() - self.n_out..]
     }
 }
 
@@ -129,7 +192,9 @@ impl Trace {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
-    layers: Vec<Dense>,
+    pub(crate) layers: Vec<Layer>,
+    /// Every parameter in [`Mlp::flat_params`] order.
+    pub(crate) params: Vec<f64>,
 }
 
 impl Mlp {
@@ -142,11 +207,17 @@ impl Mlp {
     pub fn new<R: Rng + ?Sized>(sizes: &[usize], hidden_act: Activation, rng: &mut R) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
         let mut layers = Vec::with_capacity(sizes.len() - 1);
+        let mut params = Vec::new();
         for (k, pair) in sizes.windows(2).enumerate() {
+            let (n_in, n_out) = (pair[0], pair[1]);
             let act = if k + 2 == sizes.len() { Activation::Identity } else { hidden_act };
-            layers.push(Dense::new(pair[0], pair[1], act, rng));
+            layers.push(Layer { n_in, n_out, act, off: params.len() });
+            // Xavier/Glorot uniform init.
+            let limit = (6.0 / (n_in + n_out) as f64).sqrt();
+            params.extend((0..n_in * n_out).map(|_| rng.gen_range(-limit..limit)));
+            params.resize(params.len() + n_out, 0.0);
         }
-        Mlp { layers }
+        Mlp { layers, params }
     }
 
     /// Input dimension.
@@ -159,21 +230,18 @@ impl Mlp {
         self.layers.last().expect("nonempty").n_out
     }
 
+    /// Activations per row: the widths of every layer's output, summed.
+    fn act_len(&self) -> usize {
+        self.layers.iter().map(|l| l.n_out).sum()
+    }
+
     /// Plain forward pass.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.n_in()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n_in(), "input dimension mismatch");
-        let mut cur = x.to_vec();
-        let mut pre = Vec::new();
-        let mut out = Vec::new();
-        for layer in &self.layers {
-            layer.forward(&cur, &mut pre, &mut out);
-            std::mem::swap(&mut cur, &mut out);
-        }
-        cur
+        self.forward_in(x, &mut Workspace::default()).to_vec()
     }
 
     /// Forward pass that records the activations needed for
@@ -183,19 +251,45 @@ impl Mlp {
     ///
     /// Panics if `x.len() != self.n_in()`.
     pub fn forward_trace(&self, x: &[f64]) -> Trace {
+        let mut ws = Workspace::default();
+        self.forward_in(x, &mut ws);
+        Trace { input: x.to_vec(), acts: ws.acts, n_out: self.n_out() }
+    }
+
+    /// Forward pass over one input, recording every layer's activations
+    /// in `ws` for a following [`Mlp::backward_in`]. Returns the output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.n_in()`.
+    pub fn forward_in<'w>(&self, x: &[f64], ws: &'w mut Workspace) -> &'w [f64] {
         assert_eq!(x.len(), self.n_in(), "input dimension mismatch");
-        let mut pres = Vec::with_capacity(self.layers.len());
-        let mut outs = Vec::with_capacity(self.layers.len());
-        let mut cur = x.to_vec();
-        for layer in &self.layers {
-            let mut pre = Vec::new();
-            let mut out = Vec::new();
-            layer.forward(&cur, &mut pre, &mut out);
-            cur = out.clone();
-            pres.push(pre);
-            outs.push(out);
+        ws.acts.resize(self.act_len(), 0.0);
+        let mut done = 0;
+        for (k, l) in self.layers.iter().enumerate() {
+            let (prev, rest) = ws.acts.split_at_mut(done);
+            let input = if k == 0 { x } else { &prev[done - l.n_in..] };
+            let y = &mut rest[..l.n_out];
+            dense_forward(l.weights(&self.params), l.biases(&self.params), l.act, input, y);
+            done += l.n_out;
         }
-        Trace { input: x.to_vec(), pres, outs }
+        &ws.acts[done - self.n_out()..done]
+    }
+
+    /// Forward pass over `xs.len() / n_in` inputs laid out row-major,
+    /// writing the outputs row-major into `ys`. Each row is exactly
+    /// [`Mlp::forward`] of that row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is not whole rows or `ys` has a different row count.
+    pub fn forward_rows(&self, xs: &[f64], ys: &mut [f64], ws: &mut Workspace) {
+        let (n_in, n_out) = (self.n_in(), self.n_out());
+        assert_eq!(xs.len() % n_in, 0, "input dimension mismatch");
+        assert_eq!(xs.len() / n_in * n_out, ys.len(), "output rows mismatch");
+        for (x, y) in xs.chunks_exact(n_in).zip(ys.chunks_exact_mut(n_out)) {
+            y.copy_from_slice(self.forward_in(x, ws));
+        }
     }
 
     /// Backpropagates `dL/dy` (gradient of any scalar loss w.r.t. the
@@ -205,59 +299,103 @@ impl Mlp {
     ///
     /// Panics if `output_grad.len() != self.n_out()`.
     pub fn backward(&self, trace: &Trace, output_grad: &[f64]) -> Gradients {
-        assert_eq!(output_grad.len(), self.n_out(), "output gradient dimension mismatch");
         let mut flat = vec![0.0; self.param_count()];
-        // Walk layers backwards, maintaining delta = dL/d(pre-activation).
-        let mut delta: Vec<f64> = Vec::new();
-        let mut offsets = self.layer_offsets();
-        offsets.reverse();
+        let mut input_grad = vec![0.0; self.n_in()];
+        self.backprop(
+            &trace.input,
+            &trace.acts,
+            &mut Vec::new(),
+            output_grad,
+            &mut flat,
+            Some(&mut input_grad),
+        );
+        Gradients { flat, input_grad }
+    }
 
-        let mut upstream = output_grad.to_vec();
-        for (rev_k, layer) in self.layers.iter().enumerate().rev() {
-            let pre = &trace.pres[rev_k];
-            delta.clear();
-            delta.extend(
-                upstream
-                    .iter()
-                    .zip(pre)
-                    .map(|(u, &z)| u * layer.act.derivative(z)),
-            );
-            let input: &[f64] = if rev_k == 0 { &trace.input } else { &trace.outs[rev_k - 1] };
-            let off = offsets[self.layers.len() - 1 - rev_k];
-            // dW[o][i] = delta[o] * input[i]; db[o] = delta[o].
-            for o in 0..layer.n_out {
-                let base = off + o * layer.n_in;
-                for (i, &xi) in input.iter().enumerate() {
-                    flat[base + i] += delta[o] * xi;
-                }
-                flat[off + layer.n_out * layer.n_in + o] += delta[o];
+    /// Parameter gradient for the input `x` whose activations the last
+    /// [`Mlp::forward_in`] recorded in `ws`, written over `grad` (every
+    /// element, in [`Mlp::flat_params`] order). The input gradient is
+    /// not computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimension mismatch or when `ws` holds no activations
+    /// for this network.
+    pub fn backward_in(&self, x: &[f64], ws: &mut Workspace, output_grad: &[f64], grad: &mut [f64]) {
+        assert_eq!(x.len(), self.n_in(), "input dimension mismatch");
+        assert_eq!(ws.acts.len(), self.act_len(), "workspace holds no forward pass");
+        self.backprop(x, &ws.acts, &mut ws.back, output_grad, grad, None);
+    }
+
+    /// The backward kernel. Walks the layers from the output, keeping
+    /// `delta = dL/d(pre-activation)`:
+    ///
+    /// * `dW[o][i] = 0 + delta[o]·in[i]` and `db[o] = 0 + delta[o]` —
+    ///   the `0 +` is the zero-initialized accumulator each gradient slot
+    ///   starts from (it turns `-0.0` into `+0.0`);
+    /// * the upstream gradient `Σ_o W[o][i]·delta[o]` accumulates from
+    ///   `+0.0` in ascending `o`, and is skipped below layer 0 unless the
+    ///   input gradient is asked for.
+    fn backprop(
+        &self,
+        x: &[f64],
+        acts: &[f64],
+        back: &mut Vec<f64>,
+        output_grad: &[f64],
+        grad: &mut [f64],
+        mut input_grad: Option<&mut [f64]>,
+    ) {
+        assert_eq!(output_grad.len(), self.n_out(), "output gradient dimension mismatch");
+        assert_eq!(grad.len(), self.param_count(), "parameter count mismatch");
+        let width = self.layers.iter().map(|l| l.n_in.max(l.n_out)).max().unwrap_or(0);
+        back.resize(2 * width, 0.0);
+        let (delta, up) = back.split_at_mut(width);
+        up[..output_grad.len()].copy_from_slice(output_grad);
+        let mut end = acts.len();
+        for (k, l) in self.layers.iter().enumerate().rev() {
+            let (n_in, n_out) = (l.n_in, l.n_out);
+            let y = &acts[end - n_out..end];
+            end -= n_out;
+            let input = if k == 0 { x } else { &acts[end - n_in..end] };
+            let delta = &mut delta[..n_out];
+            for ((d, &u), &yo) in delta.iter_mut().zip(&up[..n_out]).zip(y) {
+                *d = u * l.act.derivative_at_output(yo);
             }
-            // Upstream for the previous layer: W^T delta.
-            let mut next_up = vec![0.0; layer.n_in];
-            for (o, &d) in delta.iter().enumerate().take(layer.n_out) {
-                let row = &layer.w[o * layer.n_in..(o + 1) * layer.n_in];
-                for (i, &wi) in row.iter().enumerate() {
-                    next_up[i] += wi * d;
+            let (gw, gb) = grad[l.off..l.off + n_in * n_out + n_out].split_at_mut(n_in * n_out);
+            for ((row, &d), b) in gw.chunks_exact_mut(n_in).zip(delta.iter()).zip(gb) {
+                for (g, &xi) in row.iter_mut().zip(input) {
+                    *g = 0.0 + d * xi;
+                }
+                *b = 0.0 + d;
+            }
+            let target: &mut [f64] = match (k, input_grad.as_deref_mut()) {
+                (0, Some(ig)) => ig,
+                (0, None) => break,
+                _ => &mut up[..n_in],
+            };
+            target.fill(0.0);
+            let w = l.weights(&self.params);
+            for (row, &d) in w.chunks_exact(n_in).zip(delta.iter()) {
+                for (t, &wi) in target.iter_mut().zip(row) {
+                    *t += wi * d;
                 }
             }
-            upstream = next_up;
         }
-        Gradients { flat, input_grad: upstream }
     }
 
     /// Total number of scalar parameters.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
+        self.params.len()
     }
 
     /// Flattened parameters: per layer, weights row-major then biases.
     pub fn flat_params(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for l in &self.layers {
-            out.extend_from_slice(&l.w);
-            out.extend_from_slice(&l.b);
-        }
-        out
+        self.params.clone()
+    }
+
+    /// The flattened parameters, in place — what optimizers step.
+    pub(crate) fn params_mut(&mut self) -> &mut [f64] {
+        &mut self.params
     }
 
     /// Overwrites all parameters from a flattened vector.
@@ -267,47 +405,20 @@ impl Mlp {
     /// Panics if `params.len() != self.param_count()`.
     pub fn set_flat_params(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.param_count(), "parameter count mismatch");
-        let mut k = 0;
-        for l in &mut self.layers {
-            let nw = l.w.len();
-            l.w.copy_from_slice(&params[k..k + nw]);
-            k += nw;
-            let nb = l.b.len();
-            l.b.copy_from_slice(&params[k..k + nb]);
-            k += nb;
-        }
+        self.params.copy_from_slice(params);
     }
 
     /// In-place `θ += alpha · delta` on the flattened parameters — the
-    /// primitive behind SGD and line searches.
+    /// primitive behind line searches.
     ///
     /// # Panics
     ///
     /// Panics if `delta.len() != self.param_count()`.
     pub fn apply_flat_delta(&mut self, delta: &[f64], alpha: f64) {
         assert_eq!(delta.len(), self.param_count(), "parameter count mismatch");
-        let mut k = 0;
-        for l in &mut self.layers {
-            for w in &mut l.w {
-                *w += alpha * delta[k];
-                k += 1;
-            }
-            for b in &mut l.b {
-                *b += alpha * delta[k];
-                k += 1;
-            }
+        for (w, d) in self.params.iter_mut().zip(delta) {
+            *w += alpha * d;
         }
-    }
-
-    /// Starting offset of each layer's parameters in the flat layout.
-    fn layer_offsets(&self) -> Vec<usize> {
-        let mut offs = Vec::with_capacity(self.layers.len());
-        let mut k = 0;
-        for l in &self.layers {
-            offs.push(k);
-            k += l.w.len() + l.b.len();
-        }
-        offs
     }
 }
 
@@ -317,9 +428,23 @@ impl Mlp {
 ///
 /// Panics if the slices differ in length.
 pub fn mse_output_grad(y: &[f64], target: &[f64]) -> Vec<f64> {
+    let mut grad = vec![0.0; y.len()];
+    mse_output_grad_into(y, target, &mut grad);
+    grad
+}
+
+/// [`mse_output_grad`] written into `grad`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn mse_output_grad_into(y: &[f64], target: &[f64], grad: &mut [f64]) {
     assert_eq!(y.len(), target.len(), "mse dimension mismatch");
+    assert_eq!(y.len(), grad.len(), "mse dimension mismatch");
     let n = y.len() as f64;
-    y.iter().zip(target).map(|(yi, ti)| 2.0 * (yi - ti) / n).collect()
+    for ((g, yi), ti) in grad.iter_mut().zip(y).zip(target) {
+        *g = 2.0 * (yi - ti) / n;
+    }
 }
 
 /// Mean-squared error between a prediction and a target.

@@ -5,7 +5,6 @@
 //! dominate the MSE. [`Normalizer`] maintains per-component mean/std over
 //! the points seen so far and maps both ways.
 
-
 /// Per-component standardizer: `z = (x − mean) / std`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Normalizer {
@@ -14,12 +13,15 @@ pub struct Normalizer {
     mean: Vec<f64>,
     /// Running sum of squared deviations (Welford).
     m2: Vec<f64>,
+    /// Standard deviation per component, refreshed by every `observe`
+    /// so the mapping functions take no square roots.
+    std: Vec<f64>,
 }
 
 impl Normalizer {
     /// Creates a standardizer for `dim`-component vectors.
     pub fn new(dim: usize) -> Self {
-        Normalizer { dim, count: 0, mean: vec![0.0; dim], m2: vec![0.0; dim] }
+        Normalizer { dim, count: 0, mean: vec![0.0; dim], m2: vec![0.0; dim], std: vec![1.0; dim] }
     }
 
     /// Number of observed vectors.
@@ -45,25 +47,26 @@ impl Normalizer {
             self.mean[i] += d / self.count as f64;
             self.m2[i] += d * (xi - self.mean[i]);
         }
+        // The divisor changes with every sample, so every component's
+        // deviation is refreshed, not only the moved ones.
+        for (s, &m2) in self.std.iter_mut().zip(&self.m2) {
+            *s = if self.count < 2 {
+                1.0
+            } else {
+                let var = m2 / (self.count - 1) as f64;
+                if var > 1e-24 {
+                    var.sqrt()
+                } else {
+                    1.0
+                }
+            };
+        }
     }
 
     /// Current per-component standard deviation (1.0 until two samples
     /// exist or when a component is constant).
-    pub fn std(&self) -> Vec<f64> {
-        (0..self.dim)
-            .map(|i| {
-                if self.count < 2 {
-                    1.0
-                } else {
-                    let var = self.m2[i] / (self.count - 1) as f64;
-                    if var > 1e-24 {
-                        var.sqrt()
-                    } else {
-                        1.0
-                    }
-                }
-            })
-            .collect()
+    pub fn std(&self) -> &[f64] {
+        &self.std
     }
 
     /// Current per-component mean.
@@ -77,13 +80,26 @@ impl Normalizer {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn normalize(&self, x: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; self.dim];
+        self.normalize_into(x, &mut z);
+        z
+    }
+
+    /// [`Normalizer::normalize`] written into `z`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice's length differs from `self.dim()`.
+    pub fn normalize_into(&self, x: &[f64], z: &mut [f64]) {
         assert_eq!(x.len(), self.dim, "normalizer dimension mismatch");
+        assert_eq!(z.len(), self.dim, "normalizer dimension mismatch");
         debug_assert!(
             x.iter().all(|v| v.is_finite()),
             "normalize called with non-finite input {x:?}"
         );
-        let std = self.std();
-        x.iter().enumerate().map(|(i, &v)| (v - self.mean[i]) / std[i]).collect()
+        for (((zi, &v), &mean), &std) in z.iter_mut().zip(x).zip(&self.mean).zip(&self.std) {
+            *zi = (v - mean) / std;
+        }
     }
 
     /// Inverts [`Normalizer::normalize`].
@@ -92,13 +108,25 @@ impl Normalizer {
     ///
     /// Panics if `z.len() != self.dim()`.
     pub fn denormalize(&self, z: &[f64]) -> Vec<f64> {
+        let mut x = z.to_vec();
+        self.denormalize_in_place(&mut x);
+        x
+    }
+
+    /// [`Normalizer::denormalize`] in place: `z` becomes `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len() != self.dim()`.
+    pub fn denormalize_in_place(&self, z: &mut [f64]) {
         assert_eq!(z.len(), self.dim, "normalizer dimension mismatch");
         debug_assert!(
             z.iter().all(|v| v.is_finite()),
             "denormalize called with non-finite input {z:?}"
         );
-        let std = self.std();
-        z.iter().enumerate().map(|(i, &v)| v * std[i] + self.mean[i]).collect()
+        for ((v, &std), &mean) in z.iter_mut().zip(&self.std).zip(&self.mean) {
+            *v = *v * std + mean;
+        }
     }
 }
 
@@ -119,6 +147,36 @@ mod tests {
         let s = n.std();
         assert!((s[0] - 2.0).abs() < 1e-12);
         assert!((s[1] - 100.0).abs() < 1e-12);
+    }
+
+    /// The deviation a fresh computation from the Welford sums gives.
+    fn recomputed_std(n: &Normalizer) -> Vec<f64> {
+        (0..n.dim)
+            .map(|i| {
+                if n.count < 2 {
+                    1.0
+                } else {
+                    let var = n.m2[i] / (n.count - 1) as f64;
+                    if var > 1e-24 {
+                        var.sqrt()
+                    } else {
+                        1.0
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_std_is_the_recomputed_std_bitwise() {
+        let mut n = Normalizer::new(3);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(n.std()), bits(&recomputed_std(&n)));
+        for k in 0..200 {
+            let t = k as f64;
+            n.observe(&[(t * 0.37).sin() * 1e8, 4.0, t * t * 1e-12]);
+            assert_eq!(bits(n.std()), bits(&recomputed_std(&n)), "after {} samples", k + 1);
+        }
     }
 
     #[test]

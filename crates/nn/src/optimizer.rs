@@ -1,11 +1,20 @@
 //! First-order optimizers operating on flattened parameter vectors.
+//!
+//! Both step the network's parameters in place, one element at a time,
+//! with no update buffer. Each element's arithmetic is exactly that of
+//! computing an update `u` and then applying `θ += 1.0 · u`, since
+//! `1.0 · u` is `u`.
 
 use crate::mlp::Mlp;
 
 /// An optimizer that turns a flat gradient into a flat parameter update.
 pub trait Optimizer {
-    /// Computes the update for `grad` and applies it to `net`
+    /// Computes the update for `grad` and applies it to `net` in place
     /// (minimization: steps **against** the gradient).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad.len() != net.param_count()`.
     fn step(&mut self, net: &mut Mlp, grad: &[f64]);
 }
 
@@ -33,15 +42,15 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, net: &mut Mlp, grad: &[f64]) {
+        assert_eq!(grad.len(), net.param_count(), "parameter count mismatch");
         if self.velocity.len() != grad.len() {
             self.velocity = vec![0.0; grad.len()];
         }
-        let mut update = vec![0.0; grad.len()];
-        for ((v, g), u) in self.velocity.iter_mut().zip(grad).zip(&mut update) {
-            *v = self.momentum * *v - self.lr * g;
-            *u = *v;
+        let (lr, momentum) = (self.lr, self.momentum);
+        for ((w, v), g) in net.params_mut().iter_mut().zip(&mut self.velocity).zip(grad) {
+            *v = momentum * *v - lr * g;
+            *w += *v;
         }
-        net.apply_flat_delta(&update, 1.0);
     }
 }
 
@@ -78,23 +87,28 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, net: &mut Mlp, grad: &[f64]) {
+        assert_eq!(grad.len(), net.param_count(), "parameter count mismatch");
         if self.m.len() != grad.len() {
             self.m = vec![0.0; grad.len()];
             self.v = vec![0.0; grad.len()];
             self.t = 0;
         }
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        let mut update = vec![0.0; grad.len()];
-        for i in 0..grad.len() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let mhat = self.m[i] / b1t;
-            let vhat = self.v[i] / b2t;
-            update[i] = -self.lr * mhat / (vhat.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let b1t = 1.0 - beta1.powi(self.t as i32);
+        let b2t = 1.0 - beta2.powi(self.t as i32);
+        let params = net.params_mut().iter_mut();
+        for (((w, m), v), &g) in params.zip(&mut self.m).zip(&mut self.v).zip(grad) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            // Once `β^t` drops below half an ulp of 1 (t ≥ 356 for β1),
+            // a bias correction is exactly 1.0 and dividing by it is the
+            // identity. The test does not depend on the element, so it is
+            // hoisted out of the loop and the division is not issued.
+            let mhat = if b1t == 1.0 { *m } else { *m / b1t };
+            let vhat = if b2t == 1.0 { *v } else { *v / b2t };
+            *w += -lr * mhat / (vhat.sqrt() + eps);
         }
-        net.apply_flat_delta(&update, 1.0);
     }
 }
 

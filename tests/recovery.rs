@@ -153,8 +153,16 @@ fn sigkilled_daemon_recovers_bitwise_identically() {
             client.submit(Some(&ids[k]), spec).expect("admitted");
         }
         // Let the campaigns get partway in, then kill -9: no drain, no
-        // checkpoint call, no Drop handlers — the worst case.
-        std::thread::sleep(Duration::from_millis(150));
+        // checkpoint call, no Drop handlers — the worst case. The kill
+        // follows the first evaluation record that reaches disk rather
+        // than a fixed delay, so it lands mid-flight however fast the
+        // agent and the host are: the four campaigns have ~110 more
+        // simulations to go at that moment.
+        let until = Instant::now() + Duration::from_secs(60);
+        while ids.iter().all(|id| complete_eval_lines(&dir.join(format!("{id}.journal"))) == 0) {
+            assert!(Instant::now() < until, "no evaluation reached the journals");
+            std::thread::sleep(Duration::from_millis(2));
+        }
         victim.kill().expect("SIGKILL");
         victim.wait().expect("reaped");
 
