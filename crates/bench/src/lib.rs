@@ -4,13 +4,13 @@
 //! target in this crate; `cargo bench --workspace` regenerates them all.
 //! This library provides the common pieces: run-count scaling (`--full`
 //! for paper-scale repetition counts), statistics, table printing, and
-//! CSV output under `bench_results/`.
+//! CSV output under the workspace root's `bench_results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// How many repetitions to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,10 +127,11 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes rows as CSV under `bench_results/<name>.csv` (best effort — a
-/// read-only filesystem only loses the file, not the run).
+/// Writes rows as CSV under `bench_results/<name>.csv` at the workspace
+/// root, whatever the working directory (best effort — a read-only
+/// filesystem only loses the file, not the run).
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let dir = PathBuf::from("bench_results");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
     if fs::create_dir_all(&dir).is_err() {
         return;
     }

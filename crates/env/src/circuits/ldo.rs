@@ -11,13 +11,12 @@
 
 use crate::corner::PvtCorner;
 use crate::error::EnvError;
-use crate::problem::{Evaluator, SizingProblem};
-use crate::robust::EvalEffort;
+use crate::problem::SizingProblem;
 use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::PvtSet;
-use super::pool::{EnginePool, EngineSlot, SimCache};
-use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpOptions, Sweep};
+use super::pool::MnaEvaluator;
+use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpResult, SolverWorkspace, Sweep};
 use asdex_spice::devices::MosGeometry;
 use asdex_spice::measure::{checked_frequency_response, ensure_finite, to_db};
 use asdex_spice::process::ProcessNode;
@@ -236,55 +235,16 @@ impl Ldo {
         c.add_capacitor("CL", vout, gnd, self.c_load)?;
         Ok(c)
     }
-}
 
-/// The MNA-backed evaluator behind [`Ldo`].
-pub struct LdoEvaluator {
-    ldo: Ldo,
-    names: Vec<String>,
-    pool: EnginePool,
-    cache: SimCache,
-}
-
-impl LdoEvaluator {
-    /// Wraps an LDO description.
-    pub fn new(ldo: Ldo) -> Self {
-        LdoEvaluator {
-            ldo,
-            names: vec![
-                "loop_gain_db".into(),
-                "pm_deg".into(),
-                "area_um2".into(),
-                "iq_a".into(),
-                "vout_v".into(),
-            ],
-            pool: EnginePool::default(),
-            cache: SimCache::default(),
-        }
-    }
-
-    /// The solve proper, running inside a pooled engine/workspace slot.
-    fn evaluate_in_slot(
+    /// Reads the LDO's measurement vector off a solved operating point.
+    fn measure(
         &self,
-        slot: &mut EngineSlot,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
+        circuit: &Circuit,
+        engine: &Engine,
+        op: OpResult,
+        ws: &mut SolverWorkspace,
+        _corner: &PvtCorner,
     ) -> Result<Vec<f64>, EnvError> {
-        let circuit = self.ldo.netlist(x, corner)?;
-        let EngineSlot { engine, ws } = slot;
-        let engine = match engine.as_mut() {
-            Some(eng) => {
-                eng.restamp(&circuit)?;
-                eng
-            }
-            None => engine.insert(Engine::compile(&circuit)?),
-        };
-        let mut opts = OpOptions::default();
-        effort.apply(&mut opts);
-        let initial = effort.initial_guess(engine.dim());
-        let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
-
         let vout_node = circuit.find_node("vout").ok_or_else(|| EnvError::InvalidProblem {
             reason: "ldo netlist defines no 'vout' node".into(),
         })?;
@@ -298,7 +258,7 @@ impl LdoEvaluator {
             reason: "ldo netlist defines no 'VDD' source".into(),
         })?;
         let supply_current = op.branch_current(vdd_branch).abs();
-        let load_current = vout_v / self.ldo.r_load;
+        let load_current = vout_v / self.r_load;
         let iq = (supply_current - load_current).abs();
 
         let ac = ac_analysis_with_op_in(
@@ -327,43 +287,23 @@ impl LdoEvaluator {
     }
 }
 
-impl Evaluator for LdoEvaluator {
-    fn measurement_names(&self) -> &[String] {
-        &self.names
-    }
+/// Names of the LDO's measurement vector, in order.
+const MEASUREMENT_NAMES: [&str; 5] = ["loop_gain_db", "pm_deg", "area_um2", "iq_a", "vout_v"];
 
-    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-        self.evaluate_with_effort(x, corner, EvalEffort::default())
-    }
+/// The MNA-backed evaluator behind [`Ldo`].
+pub type LdoEvaluator = MnaEvaluator<Ldo>;
 
-    fn evaluate_with_effort(
-        &self,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let key = SimCache::key(x, corner, effort);
-        if let Some(meas) = self.cache.get(&key) {
-            return Ok(meas);
-        }
-        let mut slot = self.pool.take();
-        let result = self.evaluate_in_slot(&mut slot, x, corner, effort);
-        self.pool.put(slot);
-        if let Ok(meas) = &result {
-            self.cache.put(key, meas.clone());
-        }
-        result
-    }
-
-    fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
-        self.pool.set_choice(choice);
-        self.cache.clear();
+impl LdoEvaluator {
+    /// Wraps an LDO description.
+    pub fn new(ldo: Ldo) -> Self {
+        MnaEvaluator::with(ldo, &MEASUREMENT_NAMES, Ldo::netlist, Ldo::measure)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Evaluator;
 
     #[test]
     fn netlist_structure() {

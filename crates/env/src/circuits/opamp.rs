@@ -13,13 +13,12 @@
 
 use crate::corner::PvtCorner;
 use crate::error::EnvError;
-use crate::problem::{Evaluator, SizingProblem};
-use crate::robust::EvalEffort;
+use crate::problem::SizingProblem;
 use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::PvtSet;
-use super::pool::{EnginePool, EngineSlot, SimCache};
-use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpOptions, Sweep};
+use super::pool::MnaEvaluator;
+use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpResult, SolverWorkspace, Sweep};
 use asdex_spice::devices::MosGeometry;
 use asdex_spice::measure::{checked_frequency_response, ensure_finite};
 use asdex_spice::process::ProcessNode;
@@ -43,6 +42,10 @@ pub mod params {
     /// Bias current.
     pub const IBIAS: usize = 6;
 }
+
+/// Names of the opamp's measurement vector, in order. Every netlist
+/// bench measures the same vector.
+pub const MEASUREMENT_NAMES: [&str; 5] = ["gain_db", "ugf_hz", "pm_deg", "power_w", "area_m2"];
 
 /// Indices of the opamp's measurement vector.
 pub mod meas {
@@ -234,114 +237,60 @@ impl TwoStageOpamp {
 }
 
 /// The MNA-backed evaluator behind [`TwoStageOpamp`].
-pub struct OpampEvaluator {
-    opamp: TwoStageOpamp,
-    names: Vec<String>,
-    pool: EnginePool,
-    cache: SimCache,
-}
+pub type OpampEvaluator = MnaEvaluator<TwoStageOpamp>;
 
 impl OpampEvaluator {
     /// Wraps an opamp description.
     pub fn new(opamp: TwoStageOpamp) -> Self {
-        OpampEvaluator {
+        MnaEvaluator::with(
             opamp,
-            names: vec![
-                "gain_db".into(),
-                "ugf_hz".into(),
-                "pm_deg".into(),
-                "power_w".into(),
-                "area_m2".into(),
-            ],
-            pool: EnginePool::default(),
-            cache: SimCache::default(),
-        }
-    }
-
-    /// The solve proper, running inside a pooled engine/workspace slot.
-    fn evaluate_in_slot(
-        &self,
-        slot: &mut EngineSlot,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let circuit = self.opamp.netlist(x, corner)?;
-        let EngineSlot { engine, ws } = slot;
-        let engine = match engine.as_mut() {
-            Some(eng) => {
-                eng.restamp(&circuit)?;
-                eng
-            }
-            None => engine.insert(Engine::compile(&circuit)?),
-        };
-        let mut opts = OpOptions::default();
-        effort.apply(&mut opts);
-        let initial = effort.initial_guess(engine.dim());
-        let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
-
-        let sweep = Sweep::Decade { fstart: 10.0, fstop: 10e9, points_per_decade: 10 };
-        let out = circuit.find_node("out").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "opamp netlist defines no 'out' node".into(),
-        })?;
-        let vdd_branch = engine.branch_of("VDD").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "opamp netlist defines no 'VDD' source".into(),
-        })?;
-        let supply_current = op.branch_current(vdd_branch).abs();
-        let vdd_v = self.opamp.node.vdd * corner.vdd_scale;
-
-        let ac = ac_analysis_with_op_in(engine, op, sweep, ws)?;
-        let fr = checked_frequency_response(&ac, out)?;
-
-        let meas = vec![
-            fr.dc_gain_db,
-            fr.unity_gain_freq.unwrap_or(0.0),
-            fr.phase_margin_deg.unwrap_or(0.0),
-            supply_current * vdd_v,
-            circuit.total_gate_area(),
-        ];
-        ensure_finite(&meas, "opamp measurements")?;
-        Ok(meas)
+            &MEASUREMENT_NAMES,
+            TwoStageOpamp::netlist,
+            |amp, c, e, op, ws, corner| measure_amplifier(amp.process(), c, e, op, ws, corner),
+        )
     }
 }
 
-impl Evaluator for OpampEvaluator {
-    fn measurement_names(&self) -> &[String] {
-        &self.names
-    }
+/// The five-value amplifier measurement ([`MEASUREMENT_NAMES`]) shared by
+/// the built-in opamp and every netlist bench: the open-loop AC response
+/// probed at the `out` node, static power from the `VDD` source branch at
+/// the corner's supply, and total gate area.
+pub(crate) fn measure_amplifier(
+    node: &ProcessNode,
+    circuit: &Circuit,
+    engine: &Engine,
+    op: OpResult,
+    ws: &mut SolverWorkspace,
+    corner: &PvtCorner,
+) -> Result<Vec<f64>, EnvError> {
+    let sweep = Sweep::Decade { fstart: 10.0, fstop: 10e9, points_per_decade: 10 };
+    let out = circuit.find_node("out").ok_or_else(|| EnvError::InvalidProblem {
+        reason: "amplifier netlist defines no 'out' node".into(),
+    })?;
+    let vdd_branch = engine.branch_of("VDD").ok_or_else(|| EnvError::InvalidProblem {
+        reason: "amplifier netlist defines no 'VDD' source".into(),
+    })?;
+    let supply_current = op.branch_current(vdd_branch).abs();
+    let vdd_v = node.vdd * corner.vdd_scale;
 
-    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-        self.evaluate_with_effort(x, corner, EvalEffort::default())
-    }
+    let ac = ac_analysis_with_op_in(engine, op, sweep, ws)?;
+    let fr = checked_frequency_response(&ac, out)?;
 
-    fn evaluate_with_effort(
-        &self,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let key = SimCache::key(x, corner, effort);
-        if let Some(meas) = self.cache.get(&key) {
-            return Ok(meas);
-        }
-        let mut slot = self.pool.take();
-        let result = self.evaluate_in_slot(&mut slot, x, corner, effort);
-        self.pool.put(slot);
-        if let Ok(meas) = &result {
-            self.cache.put(key, meas.clone());
-        }
-        result
-    }
-
-    fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
-        self.pool.set_choice(choice);
-        self.cache.clear();
-    }
+    let meas = vec![
+        fr.dc_gain_db,
+        fr.unity_gain_freq.unwrap_or(0.0),
+        fr.phase_margin_deg.unwrap_or(0.0),
+        supply_current * vdd_v,
+        circuit.total_gate_area(),
+    ];
+    ensure_finite(&meas, "amplifier measurements")?;
+    Ok(meas)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Evaluator;
 
     /// A hand-sized reference point that should bias correctly.
     pub fn reference_x() -> Vec<f64> {

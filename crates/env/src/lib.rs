@@ -78,9 +78,9 @@ pub use fault::{
 };
 pub use health::HealthStats;
 pub use journal::{path_salt, DiskFault, DiskFaultKind, Journal, JournalError, JournalMeta};
-pub use netbench::{netlist_digest, NetbenchError, NetlistBench, NetlistEvaluator};
+pub use netbench::{netlist_digest, NetbenchError, NetlistBench};
 pub use problem::{Evaluation, Evaluator, SizingProblem};
-pub use robust::{EvalEffort, RetryPolicy, RobustEvaluator};
+pub use robust::{EvalEffort, RetryPolicy};
 pub use search::{SearchBudget, SearchOutcome, Searcher};
 pub use space::{DesignSpace, Param};
 pub use spec::{Spec, SpecKind, SpecSet};

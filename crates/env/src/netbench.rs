@@ -5,8 +5,8 @@
 //! gate: a SPICE deck plus a **sizing stanza** compiles into a complete,
 //! first-class sizing problem — space, specs, figure of merit, PVT
 //! corners, and an MNA-backed evaluator — equivalent *by construction* to
-//! the built-in benches (same engine pool, same simulation cache, same
-//! measurement pipeline, bit for bit).
+//! the built-in amplifier benches: the same [`MnaEvaluator`] runs the
+//! solve and the same measurement function reads it, bit for bit.
 //!
 //! # The sizing stanza
 //!
@@ -41,23 +41,23 @@
 //! # Determinism contract
 //!
 //! Node and element order follow deck card order, the parser appends cards
-//! into a model-seeded circuit deterministically, and the evaluator reuses
-//! the shared [`EnginePool`]/[`SimCache`] machinery, so results are
+//! into a model-seeded circuit deterministically, and the shared
+//! [`MnaEvaluator`] pools engines and memoizes solves, so results are
 //! deterministic in `(deck, x, corner, effort)` and independent of thread
 //! or worker count. The FNV-1a [`netlist_digest`] over the deck source is
 //! the identity used by journals, manifests, and worker processes to
 //! guarantee a resumed campaign re-compiles the identical bench.
 
-use crate::circuits::pool::{EnginePool, EngineSlot, SimCache};
+use crate::circuits::opamp::measure_amplifier;
+pub use crate::circuits::opamp::MEASUREMENT_NAMES;
+use crate::circuits::MnaEvaluator;
 use crate::corner::{PvtCorner, PvtSet};
 use crate::error::EnvError;
-use crate::problem::{Evaluator, SizingProblem};
-use crate::robust::EvalEffort;
+use crate::problem::SizingProblem;
 use crate::space::{DesignSpace, Param};
 use crate::spec::{Spec, SpecSet};
 use crate::value::ValueFn;
-use asdex_spice::analysis::{ac_analysis_with_op_in, Engine, OpOptions, Sweep};
-use asdex_spice::measure::{checked_frequency_response, ensure_finite};
+use asdex_spice::analysis::Engine;
 use asdex_spice::parser::{parse_netlist_into, read_deck_source};
 use asdex_spice::process::ProcessNode;
 use asdex_spice::units::parse_value;
@@ -65,9 +65,6 @@ use asdex_spice::Circuit;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-
-/// The measurement vector every netlist bench produces, in order.
-pub const MEASUREMENT_NAMES: [&str; 5] = ["gain_db", "ugf_hz", "pm_deg", "power_w", "area_m2"];
 
 /// Short spec aliases parallel to [`MEASUREMENT_NAMES`] (the names the
 /// built-in benches use for the same quantities).
@@ -319,7 +316,12 @@ impl NetlistBench {
     /// Propagates design-space or problem-validation errors.
     pub fn problem_with(&self, corners: PvtSet) -> Result<SizingProblem, EnvError> {
         let space = DesignSpace::new(self.axes.clone())?;
-        let eval = NetlistEvaluator::new(self.clone());
+        let eval = MnaEvaluator::with(
+            self.clone(),
+            &MEASUREMENT_NAMES,
+            NetlistBench::stamp,
+            |bench, c, e, op, ws, corner| measure_amplifier(bench.process(), c, e, op, ws, corner),
+        );
         let mut problem = SizingProblem::new(
             &format!("netlist-{}", self.name),
             space,
@@ -577,115 +579,10 @@ fn parse_goal(line: usize, tokens: &[&str]) -> Result<Spec, NetbenchError> {
     }
 }
 
-/// The MNA-backed evaluator behind a [`NetlistBench`] — structurally
-/// identical to the built-in opamp evaluator: pooled engine slots,
-/// restamp-in-place, and the bounded simulation cache.
-pub struct NetlistEvaluator {
-    bench: NetlistBench,
-    names: Vec<String>,
-    pool: EnginePool,
-    cache: SimCache,
-}
-
-impl NetlistEvaluator {
-    /// Wraps a compiled bench.
-    pub fn new(bench: NetlistBench) -> Self {
-        NetlistEvaluator {
-            bench,
-            names: MEASUREMENT_NAMES.iter().map(|s| (*s).to_string()).collect(),
-            pool: EnginePool::default(),
-            cache: SimCache::default(),
-        }
-    }
-
-    /// The solve proper, running inside a pooled engine/workspace slot.
-    /// This mirrors the built-in opamp evaluator operation for operation,
-    /// which is what makes a netlist clone of a built-in bench bitwise
-    /// equivalent.
-    fn evaluate_in_slot(
-        &self,
-        slot: &mut EngineSlot,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let circuit = self.bench.stamp(x, corner)?;
-        let EngineSlot { engine, ws } = slot;
-        let engine = match engine.as_mut() {
-            Some(eng) => {
-                eng.restamp(&circuit)?;
-                eng
-            }
-            None => engine.insert(Engine::compile(&circuit)?),
-        };
-        let mut opts = OpOptions::default();
-        effort.apply(&mut opts);
-        let initial = effort.initial_guess(engine.dim());
-        let op = engine.operating_point_with(&opts, initial.as_deref(), ws)?;
-
-        let sweep = Sweep::Decade { fstart: 10.0, fstop: 10e9, points_per_decade: 10 };
-        let out = circuit.find_node("out").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "netlist bench defines no 'out' node".into(),
-        })?;
-        let vdd_branch = engine.branch_of("VDD").ok_or_else(|| EnvError::InvalidProblem {
-            reason: "netlist bench defines no 'VDD' source".into(),
-        })?;
-        let supply_current = op.branch_current(vdd_branch).abs();
-        let vdd_v = self.bench.node.vdd * corner.vdd_scale;
-
-        let ac = ac_analysis_with_op_in(engine, op, sweep, ws)?;
-        let fr = checked_frequency_response(&ac, out)?;
-
-        let meas = vec![
-            fr.dc_gain_db,
-            fr.unity_gain_freq.unwrap_or(0.0),
-            fr.phase_margin_deg.unwrap_or(0.0),
-            supply_current * vdd_v,
-            circuit.total_gate_area(),
-        ];
-        ensure_finite(&meas, "netlist bench measurements")?;
-        Ok(meas)
-    }
-}
-
-impl Evaluator for NetlistEvaluator {
-    fn measurement_names(&self) -> &[String] {
-        &self.names
-    }
-
-    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-        self.evaluate_with_effort(x, corner, EvalEffort::default())
-    }
-
-    fn evaluate_with_effort(
-        &self,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        let key = SimCache::key(x, corner, effort);
-        if let Some(meas) = self.cache.get(&key) {
-            return Ok(meas);
-        }
-        let mut slot = self.pool.take();
-        let result = self.evaluate_in_slot(&mut slot, x, corner, effort);
-        self.pool.put(slot);
-        if let Ok(meas) = &result {
-            self.cache.put(key, meas.clone());
-        }
-        result
-    }
-
-    fn set_solver(&self, choice: asdex_spice::analysis::SolverChoice) {
-        self.pool.set_choice(choice);
-        self.cache.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuits::opamp::{OpampEvaluator, TwoStageOpamp};
+    use crate::circuits::opamp::TwoStageOpamp;
 
     /// A minimal valid sizing deck: an RC low-pass inside a supply rail.
     fn rc_deck() -> String {
@@ -858,8 +755,8 @@ C1 out 0 1e-9
         }
 
         // Measurements: bit-identical across corners and solver backends.
-        let net_eval = NetlistEvaluator::new(bench);
-        let amp_eval = OpampEvaluator::new(amp);
+        let net_eval = bench.problem().unwrap().evaluator;
+        let amp_eval = amp.problem().unwrap().evaluator;
         let x = vec![20e-6, 10e-6, 10e-6, 60e-6, 20e-6, 1.5e-12, 10e-6];
         let corners = PvtSet::signoff5();
         for choice in [

@@ -7,10 +7,6 @@
 //! attempt raises [`EvalEffort`] one notch, and every attempt is charged
 //! against the simulation budget so accounting stays exact.
 
-use crate::corner::PvtCorner;
-use crate::error::EnvError;
-use crate::problem::Evaluator;
-use crate::stats::FailureKind;
 use asdex_spice::analysis::OpOptions;
 
 /// Solver-effort level for one evaluation attempt. Attempt 0 is the stock
@@ -87,130 +83,15 @@ impl RetryPolicy {
         RetryPolicy { max_retries: 0 }
     }
 
-    /// A policy with the given number of extra attempts.
-    pub fn with_retries(max_retries: usize) -> Self {
-        RetryPolicy { max_retries }
-    }
-
     /// Total attempts allowed per point (first try + retries).
     pub fn max_attempts(&self) -> usize {
         1 + self.max_retries
-    }
-
-    /// Whether a failure of `kind` at zero-based `attempt` should be
-    /// retried under this policy.
-    pub fn should_retry(&self, kind: FailureKind, attempt: usize) -> bool {
-        kind.is_retryable() && attempt + 1 < self.max_attempts()
-    }
-}
-
-/// An [`Evaluator`] wrapper that runs the retry ladder *inside* a single
-/// `evaluate` call: on a retryable failure it re-invokes the inner
-/// evaluator with escalated [`EvalEffort`] until the policy's budget is
-/// spent.
-///
-/// [`crate::SizingProblem::evaluate_with_budget`] runs the same ladder
-/// with per-attempt budget accounting; this wrapper is for callers that
-/// use the raw [`Evaluator`] interface (custom harnesses, one-off probes)
-/// and want recovery without telemetry.
-pub struct RobustEvaluator<E> {
-    inner: E,
-    policy: RetryPolicy,
-}
-
-impl<E: Evaluator> RobustEvaluator<E> {
-    /// Wraps `inner` with the default policy.
-    pub fn new(inner: E) -> Self {
-        RobustEvaluator { inner, policy: RetryPolicy::default() }
-    }
-
-    /// Wraps `inner` with an explicit policy.
-    pub fn with_policy(inner: E, policy: RetryPolicy) -> Self {
-        RobustEvaluator { inner, policy }
-    }
-
-    /// The wrapped evaluator.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: Evaluator> Evaluator for RobustEvaluator<E> {
-    fn measurement_names(&self) -> &[String] {
-        self.inner.measurement_names()
-    }
-
-    fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-        let mut attempt = 0;
-        loop {
-            match self.inner.evaluate_with_effort(x, corner, EvalEffort::attempt(attempt)) {
-                Ok(meas) => return Ok(meas),
-                Err(e) => {
-                    let kind = FailureKind::classify(&e);
-                    if !self.policy.should_retry(kind, attempt) {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    fn evaluate_with_effort(
-        &self,
-        x: &[f64],
-        corner: &PvtCorner,
-        effort: EvalEffort,
-    ) -> Result<Vec<f64>, EnvError> {
-        self.inner.evaluate_with_effort(x, corner, effort)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asdex_spice::SpiceError;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Fails with NoConvergence until `succeed_at` attempts have been made
-    /// for the current point.
-    struct FlakyEvaluator {
-        names: Vec<String>,
-        succeed_at: usize,
-        calls: AtomicUsize,
-    }
-
-    impl FlakyEvaluator {
-        fn new(succeed_at: usize) -> Self {
-            FlakyEvaluator {
-                names: vec!["m".into()],
-                succeed_at,
-                calls: AtomicUsize::new(0),
-            }
-        }
-    }
-
-    impl Evaluator for FlakyEvaluator {
-        fn measurement_names(&self) -> &[String] {
-            &self.names
-        }
-        fn evaluate(&self, x: &[f64], corner: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-            self.evaluate_with_effort(x, corner, EvalEffort::default())
-        }
-        fn evaluate_with_effort(
-            &self,
-            x: &[f64],
-            _corner: &PvtCorner,
-            effort: EvalEffort,
-        ) -> Result<Vec<f64>, EnvError> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            if effort.attempt < self.succeed_at {
-                Err(SpiceError::NoConvergence { analysis: "op", iterations: 150 }.into())
-            } else {
-                Ok(vec![x[0]])
-            }
-        }
-    }
 
     #[test]
     fn effort_escalates_solver_options() {
@@ -239,37 +120,5 @@ mod tests {
         assert!(a.iter().all(|v| v.abs() <= 0.05 + 1e-12));
         let c = EvalEffort::attempt(2).initial_guess(5).unwrap();
         assert_ne!(a, c, "each rung perturbs differently");
-    }
-
-    #[test]
-    fn robust_evaluator_recovers_within_budget() {
-        let e = RobustEvaluator::new(FlakyEvaluator::new(2));
-        let m = e.evaluate(&[1.5], &PvtCorner::nominal()).expect("recovers on attempt 2");
-        assert_eq!(m, vec![1.5]);
-        assert_eq!(e.inner().calls.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn robust_evaluator_gives_up_past_budget() {
-        let e = RobustEvaluator::with_policy(FlakyEvaluator::new(5), RetryPolicy::with_retries(2));
-        let err = e.evaluate(&[1.5], &PvtCorner::nominal()).unwrap_err();
-        assert!(matches!(err, EnvError::Simulation(SpiceError::NoConvergence { .. })));
-        assert_eq!(e.inner().calls.load(Ordering::Relaxed), 3, "1 try + 2 retries");
-    }
-
-    #[test]
-    fn non_retryable_failures_fail_fast() {
-        struct NanEvaluator(Vec<String>);
-        impl Evaluator for NanEvaluator {
-            fn measurement_names(&self) -> &[String] {
-                &self.0
-            }
-            fn evaluate(&self, _x: &[f64], _c: &PvtCorner) -> Result<Vec<f64>, EnvError> {
-                Err(SpiceError::NonFinite { what: "m".into() }.into())
-            }
-        }
-        let e = RobustEvaluator::new(NanEvaluator(vec!["m".into()]));
-        let err = e.evaluate(&[0.0], &PvtCorner::nominal()).unwrap_err();
-        assert_eq!(FailureKind::classify(&err), FailureKind::NonFinite);
     }
 }

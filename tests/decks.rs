@@ -4,7 +4,9 @@
 //! netlist-bench frontend and reproduce their recorded measurement
 //! goldens bit for bit.
 
-use asdex::env::{netlist_digest, NetlistBench, SearchBudget, Searcher};
+use asdex::env::{netlist_digest, EvalEffort, NetlistBench, PvtSet, SearchBudget, Searcher};
+use asdex::serve::build_problem;
+use asdex::spice::analysis::SolverChoice;
 use asdex::spice::analysis::{ac_analysis, dc_operating_point, OpOptions, Sweep};
 use asdex::spice::measure::frequency_response;
 use asdex::spice::parser::parse_netlist;
@@ -129,6 +131,68 @@ fn sizing_decks_compile_and_match_midpoint_goldens_bitwise() {
             .unwrap_or_else(|| panic!("{file}: midpoint fails: {:?}", eval.failure));
         let got: Vec<String> = meas.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
         assert_eq!(got, want.to_vec(), "{file}: midpoint measurements drifted");
+    }
+}
+
+/// The same midpoint goldens for the built-in MNA benches that ship no
+/// deck: `(bench, effort attempt, one vector per signoff5 corner)`, in
+/// each bench's own measurement order. Attempt 1 starts Newton from the
+/// retry ladder's perturbed guess with escalated options, so the goldens
+/// pin both rungs of the pooled solve path.
+const BUILTIN_GOLDENS: &[(&str, usize, [[&str; 5]; 5])] = &[
+    ("opamp22", 0, [
+        ["4058b9d86e87e45c", "41905d86f2d6689f", "402dcec3d2a46fc0", "3f07f4cbe7dac650", "3da35611c3840928"],
+        ["4056e6707ecf0d9a", "4185e140b13739a0", "402d68eaf7db3870", "3f05a23641f833e0", "3da35611c3840928"],
+        ["405929a8f29f7d92", "41912683e73b773e", "402f0c85af0d1d40", "3f04d7a15b3a57d0", "3da35611c3840928"],
+        ["4057fe33dcad63b9", "418d9e33d4e62693", "402c67d7085db620", "3f0b7c5756f62c12", "3da35611c3840928"],
+        ["405a431752621474", "419731735b4a28b6", "402e464e6b56ff70", "3f0a70f498bd7849", "3da35611c3840928"],
+    ]),
+    ("opamp22", 1, [
+        ["4058b9d876dcd00f", "41905d874dcc4ef6", "402dcec17239d320", "3f07f4cbe8223248", "3da35611c3840928"],
+        ["4056e670e53b77a3", "4185e140b867dbda", "402d68eaa521c510", "3f05a23641fb6176", "3da35611c3840928"],
+        ["405929a8ee319c11", "41912684054bb103", "402f0c84ef898d00", "3f04d7a15b1c36ed", "3da35611c3840928"],
+        ["4057fe33b32533ca", "418d9e318b97969c", "402c67df30fb3bf0", "3f0b7c57549c3099", "3da35611c3840928"],
+        ["405a4317456e7095", "419731746a987559", "402e466250f5caf0", "3f0a70f498bc44f9", "3da35611c3840928"],
+    ]),
+    ("ldo", 0, [
+        ["405055befbbcf2fd", "4053683996afff2d", "40769f4c03974903", "3ef8d8a6446f7800", "3feeb61430288db2"],
+        ["404ce8a0a300fc1a", "40540baad5780cca", "40769f4c03974903", "3ef882331b4e9c00", "3feba1b2351cba5f"],
+        ["c072c00000000000", "4056800000000000", "40769f4c03974903", "3ee47d4842b7cea0", "0000000000000000"],
+        ["404f58ee97ebca18", "405396c349d99c2e", "40769f4c03974903", "3efa3599a878a400", "3ff0e3ceff6b1696"],
+        ["4051ebd1b0c76c16", "4052f7ce4d5d6014", "40769f4c03974903", "3ef953900ab1d400", "3ff0e4bc0865667e"],
+    ]),
+    ("ldo", 1, [
+        ["405055befc2bb936", "4053683997392ee0", "40769f4c03974903", "3ef8d8a6446f2000", "3feeb614302655f3"],
+        ["404ce8a0a2fce54e", "40540baad5768045", "40769f4c03974903", "3ef882331b4e7c00", "3feba1b2351c50cf"],
+        ["c0701c0749ce8b46", "4056800000000000", "40769f4c03974903", "3ee47d4842b92098", "396ec5e44516501c"],
+        ["404f58ee97cd2e76", "405396c34997264a", "40769f4c03974903", "3efa3599a8615000", "3ff0e3ceff3234cf"],
+        ["4051ebd1c72ec105", "4052f7ce7363c22f", "40769f4c03974903", "3ef953900aa65000", "3ff0e4bc08461309"],
+    ]),
+];
+
+#[test]
+fn builtin_benches_match_midpoint_goldens_bitwise() {
+    for (bench, attempt, want) in BUILTIN_GOLDENS {
+        // The default backend (auto: dense at these sizes) and dense
+        // pinned explicitly must both land on the recorded bits.
+        for choice in [SolverChoice::default(), SolverChoice::Dense] {
+            let problem = build_problem(bench, "nominal").expect("benchmark builds");
+            problem.evaluator.set_solver(choice);
+            let x: Vec<f64> =
+                problem.space.params().iter().map(|p| p.grid[(p.grid.len() - 1) / 2]).collect();
+            for (corner, want) in PvtSet::signoff5().corners().iter().zip(want) {
+                let meas = problem
+                    .evaluator
+                    .evaluate_with_effort(&x, corner, EvalEffort::attempt(*attempt))
+                    .unwrap_or_else(|e| panic!("{bench} {corner:?} attempt {attempt}: {e}"));
+                let got: Vec<String> = meas.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+                assert_eq!(
+                    got,
+                    want.to_vec(),
+                    "{bench} {corner:?} attempt {attempt} {choice:?}: midpoint measurements drifted"
+                );
+            }
+        }
     }
 }
 
